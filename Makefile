@@ -20,6 +20,8 @@
 #                goldens, the per-level energy-conservation audits, and
 #                a quick E15 regeneration to a temp dir
 #   make results regenerate results/ with the full (non-quick) sweeps
+#   make results-check  regenerate E1-E15 into a temp dir and fail unless
+#                it is byte-identical to the committed results/ (diff -r)
 #   make bench-json  quick E3-suite batch emitting BENCH_E3.json plus a
 #                fresh replay-throughput record BENCH_REPLAY.json — the
 #                machine-readable records CI archives per commit. Run it
@@ -49,7 +51,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: tier1 tier2 lint check fuzz fault obs-check geom-check results bench bench-json bench-replay-check serve-check chaos-check
+.PHONY: tier1 tier2 lint check fuzz fault obs-check geom-check results results-check bench bench-json bench-replay-check serve-check chaos-check
 
 tier1:
 	$(GO) build ./...
@@ -122,6 +124,11 @@ geom-check:
 
 results:
 	$(GO) run ./cmd/cntbench -out results
+
+results-check:
+	@dir=$$(mktemp -d cntbench-results.XXXXXX -p $${TMPDIR:-/tmp}); \
+	trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/cntbench -out "$$dir" >/dev/null && diff -r "$$dir" results
 
 bench:
 	$(GO) test -short -bench=. -benchmem ./...

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestRunErrors checks that a bad invocation fails before any experiment
@@ -235,8 +237,26 @@ func TestRunReplayRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The passing gate runs against a copy of the record scaled a
+	// millionfold slower, so the wall-clock noise between two ~10 ms
+	// passes cannot fail it; the tolerance logic itself is covered with
+	// injected figures by experiments.TestReplayCheckAgainst.
+	slow := *bench
+	slow.Variants = append([]experiments.ReplayMeasurement(nil), bench.Variants...)
+	for i := range slow.Variants {
+		slow.Variants[i].Seconds *= 1e6
+		slow.Variants[i].AccessesPerSec /= 1e6
+	}
+	slowRecord := filepath.Join(t.TempDir(), "slow.json")
+	raw, err := json.Marshal(&slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(slowRecord, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
-	if err := run([]string{"-replay", "-quick", "-replay-passes", "1", "-replay-baseline", record}, &out, &errBuf); err != nil {
+	if err := run([]string{"-replay", "-quick", "-replay-passes", "1", "-replay-baseline", slowRecord}, &out, &errBuf); err != nil {
 		t.Fatalf("gate against own record failed: %v", err)
 	}
 	if !strings.Contains(out.String(), "within") {
@@ -246,7 +266,7 @@ func TestRunReplayRoundTrip(t *testing.T) {
 	// An unreachable committed figure must fail the gate and leave the
 	// inflated record untouched (gate-before-overwrite).
 	bench.Variants[0].AccessesPerSec *= 1e6
-	raw, err := json.Marshal(bench)
+	raw, err = json.Marshal(bench)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -275,7 +276,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	rep, err := sess.Run()
+	var (
+		rep  *simrun.Report
+		snap core.Snapshot
+	)
+	if *inspect {
+		rep, snap, err = sess.RunSnapshot(context.Background())
+	} else {
+		rep, err = sess.Run()
+	}
 	if err != nil {
 		return err
 	}
@@ -296,10 +305,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  %-4s %4d sets x %2d ways x %2dB (%d KiB)  device=%s  variant=%s\n",
 				lvl.Name, g.Sets, g.Ways, g.LineBytes,
 				g.Sets*g.Ways*g.LineBytes/1024, lvl.Device, lvl.Variant)
-		}
-		snap, err := sess.Snapshot()
-		if err != nil {
-			return err
 		}
 		fmt.Fprintln(stdout, "\nD-cache line-state snapshot:")
 		fmt.Fprint(stdout, snap.String())

@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 
+	"repro/internal/recycle"
 	"repro/internal/sram"
 	"repro/internal/trace"
 )
@@ -69,6 +70,9 @@ type Cache struct {
 	idxShift  uint
 	lineBytes int
 	onEvict   EvictHook
+	// ownPolicy is set when New built the policy itself, so Release may
+	// recycle its state; a caller-supplied policy stays the caller's.
+	ownPolicy bool
 
 	// hint[set] is the way that last served set — a way predictor for
 	// findWay. Tags are unique within a set, so confirming the hinted
@@ -101,20 +105,45 @@ func New(cfg Config, next Backend) (*Cache, error) {
 		policy:    pol,
 		next:      next,
 		lineBytes: cfg.Geometry.LineBytes,
+		ownPolicy: cfg.Policy == nil,
 	}
 	c.offShift = uint(cfg.Geometry.OffsetBits())
 	c.idxShift = uint(cfg.Geometry.IndexBits())
 	c.offMask = uint64(c.lineBytes - 1)
 	c.idxMask = uint64(cfg.Geometry.Sets - 1)
-	// One flat allocation each for control state and payload:
-	// construction is two large allocations instead of sets*(ways+1)
-	// small ones, which matters when short-lived simulations are built
-	// per workload (core.Compare, benchmarks).
+	// One flat array each for control state, payload and way hints,
+	// drawn from the recycler: a simulation that Releases its caches
+	// hands them to the next one of the same shape (core.Compare cells,
+	// sweep points), which then skips both the allocation and the GC
+	// work of the discarded copy.
 	c.ways = cfg.Geometry.Ways
-	c.lines = make([]line, cfg.Geometry.Sets*cfg.Geometry.Ways)
-	c.data = make([]byte, len(c.lines)*c.lineBytes)
-	c.hint = make([]int32, cfg.Geometry.Sets)
+	c.lines = lineBin.Get(cfg.Geometry.Sets * cfg.Geometry.Ways)
+	c.data = dataBin.Get(len(c.lines) * c.lineBytes)
+	c.hint = int32Bin.Get(cfg.Geometry.Sets)
 	return c, nil
+}
+
+// Recycled arrays, shared by every cache of the process.
+var (
+	lineBin  recycle.Bin[line]
+	dataBin  recycle.Bin[byte]
+	int32Bin recycle.Bin[int32] // way hints and LRU order
+)
+
+// Release hands the cache's arrays — and the LRU order of a policy New
+// built itself — back to the recycler. The cache is unusable afterwards;
+// a second Release does nothing. Stats stay readable.
+func (c *Cache) Release() {
+	if c.lines == nil {
+		return
+	}
+	if l, ok := c.policy.(*lru); ok && c.ownPolicy {
+		l.release()
+	}
+	lineBin.Put(c.lines)
+	dataBin.Put(c.data)
+	int32Bin.Put(c.hint)
+	c.lines, c.data, c.hint = nil, nil, nil
 }
 
 // lineData returns the payload slice of one line within the flat backing.

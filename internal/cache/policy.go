@@ -30,7 +30,8 @@ func checkGeometry(sets, ways int) error {
 // lru is true least-recently-used: each set keeps its ways ordered from
 // MRU to LRU.
 type lru struct {
-	order [][]int // order[set] lists ways MRU-first
+	order []int32 // order[set*ways : (set+1)*ways] lists set's ways MRU-first
+	ways  int
 }
 
 // NewLRU returns a least-recently-used policy.
@@ -42,25 +43,30 @@ func (l *lru) Reset(sets, ways int) error {
 	if err := checkGeometry(sets, ways); err != nil {
 		return err
 	}
-	l.order = make([][]int, sets)
-	for s := range l.order {
-		l.order[s] = make([]int, ways)
-		for w := range l.order[s] {
-			l.order[s][w] = w
-		}
+	l.order = int32Bin.Get(sets * ways)
+	l.ways = ways
+	for i := range l.order {
+		l.order[i] = int32(i % ways)
 	}
 	return nil
 }
 
+// release hands the order array back to the recycler (see Cache.Release).
+func (l *lru) release() {
+	int32Bin.Put(l.order)
+	l.order = nil
+}
+
 func (l *lru) touch(set, way int) {
-	ord := l.order[set]
-	if ord[0] == way {
+	ord := l.order[set*l.ways : (set+1)*l.ways]
+	w32 := int32(way)
+	if ord[0] == w32 {
 		return // already MRU: repeated hits to a hot line stay free
 	}
 	for i, w := range ord {
-		if w == way {
+		if w == w32 {
 			copy(ord[1:i+1], ord[:i])
-			ord[0] = way
+			ord[0] = w32
 			return
 		}
 	}
@@ -69,8 +75,7 @@ func (l *lru) touch(set, way int) {
 func (l *lru) OnAccess(set, way int) { l.touch(set, way) }
 func (l *lru) OnFill(set, way int)   { l.touch(set, way) }
 func (l *lru) Victim(set int) int {
-	ord := l.order[set]
-	return ord[len(ord)-1]
+	return int(l.order[set*l.ways+l.ways-1])
 }
 
 // treePLRU is the classic binary-tree pseudo-LRU used by real L1 designs.

@@ -74,6 +74,7 @@ func batchReplay(inst *workload.Instance, cfg core.SimConfig, batch int, withEve
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sim.Release()
 	accs := inst.Accesses
 	if batch == 0 {
 		for i := range accs {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // newHotCache builds a CNTCache over a preloaded memory image and warms
@@ -207,5 +208,33 @@ func BenchmarkAccessWriteHit(b *testing.B) {
 		if err := c.Access(a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set under -race, whose instrumentation allocates on its
+// own account; exact non-zero pins skip there.
+var raceEnabled bool
+
+// TestRunInstanceAllocs pins setup as well as the hot path: a warm
+// RunInstance of a suite kernel — memory image, every level's build,
+// replay, report and release — performs exactly this many allocations.
+// The large per-level arrays all come back from the recycler, so the
+// count is the handful of small objects each level is made of.
+func TestRunInstanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	inst := workload.Histogram(1)
+	cfg := DefaultSimConfig()
+	if _, err := RunInstance(inst, cfg); err != nil {
+		t.Fatal(err) // warm the recycler
+	}
+	const want = 58
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := RunInstance(inst, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != want {
+		t.Errorf("warm RunInstance(hist) allocates %v objects, want exactly %d", n, want)
 	}
 }

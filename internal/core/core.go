@@ -35,6 +35,7 @@ import (
 	"repro/internal/fifo"
 	"repro/internal/obs"
 	"repro/internal/predictor"
+	"repro/internal/recycle"
 	"repro/internal/sram"
 	"repro/internal/trace"
 )
@@ -277,7 +278,8 @@ type CNTCache struct {
 	predBase *predictor.Predictor
 	queue    *fifo.Queue
 
-	state [][]lineState
+	// state[set*ways+way] is the line's encoding state.
+	state []lineState
 
 	lineBytes   int
 	lineBits    int
@@ -442,7 +444,7 @@ func New(cfg cache.Config, next cache.Backend, opts Options) (*CNTCache, error) 
 		if !dirty {
 			return
 		}
-		st := &c.state[set][way]
+		st := &c.state[set*c.ways+way]
 		// The victim's cached count is still current: the hook fires
 		// before the fill replaces the data.
 		ones := st.storedOnes
@@ -452,14 +454,10 @@ func New(cfg cache.Config, next cache.Backend, opts Options) (*CNTCache, error) 
 		c.eb.DataRead += c.scaled(c.readEnergy(ones, c.lineBytes), set, way)
 	})
 
-	stateBacking := make([]lineState, geom.Sets*geom.Ways)
-	c.state = make([][]lineState, geom.Sets)
-	for s := range c.state {
-		c.state[s] = stateBacking[s*geom.Ways : (s+1)*geom.Ways : (s+1)*geom.Ways]
-	}
+	c.state = stateBin.Get(geom.Sets * geom.Ways)
 	c.perPartScratch = make([]int, parts)
 	c.ways = geom.Ways
-	c.partOnes = make([]int, geom.Sets*geom.Ways*parts)
+	c.partOnes = countBin.Get(geom.Sets * geom.Ways * parts)
 
 	c.lookupE = arr.LookupEnergy()
 	c.encoderLineE = float64(c.lineBits) * opts.Table.EncoderBit
@@ -491,6 +489,23 @@ func New(cfg cache.Config, next cache.Backend, opts Options) (*CNTCache, error) 
 	c.hot = c.inj == nil && c.met == nil && c.sink == nil &&
 		opts.Granularity == GranularityLine
 	return c, nil
+}
+
+// Recycled per-line arrays, shared by every CNTCache of the process
+// (see package recycle and Sim.Release).
+var (
+	stateBin recycle.Bin[lineState]
+	countBin recycle.Bin[int]
+)
+
+// release hands the line state, the cached partition counts and the
+// wrapped cache's arrays back to the recycler. Counters and energy stay
+// readable; everything that touches the array does not.
+func (c *CNTCache) release() {
+	c.cache.Release()
+	stateBin.Put(c.state)
+	countBin.Put(c.partOnes)
+	c.state, c.partOnes = nil, nil
 }
 
 // Options returns the configuration.
@@ -888,7 +903,7 @@ func (c *CNTCache) accessHotOne(a *trace.Access) error {
 	}
 
 	c.eb.Periphery += c.lookupE
-	st := &c.state[set][way]
+	st := &c.state[set*c.ways+way]
 	pc := c.lineCounts(set, way)
 
 	kind := c.opts.Spec.Kind
@@ -948,7 +963,7 @@ func (c *CNTCache) accessPiece(a trace.Access) error {
 	}
 
 	c.eb.Periphery += c.lookupE
-	st := &c.state[res.Set][res.Way]
+	st := &c.state[res.Set*c.ways+res.Way]
 	pc := c.lineCounts(res.Set, res.Way)
 
 	logical, _, _, _ := c.cache.Line(res.Set, res.Way)
@@ -1185,7 +1200,7 @@ func (c *CNTCache) retire(u fifo.Update) {
 		before = c.eb
 	}
 	applied, stale := false, false
-	st := &c.state[u.Set][u.Way]
+	st := &c.state[u.Set*c.ways+u.Way]
 	logical, _, valid, _ := c.cache.Line(u.Set, u.Way)
 	switch {
 	case !valid:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitutil"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cnfet"
 	"repro/internal/encoding"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 	"repro/internal/sram"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -162,7 +165,7 @@ func TestAdaptiveConvergesOnReadHeavyZeros(t *testing.T) {
 	if c.Switches() == 0 {
 		t.Fatal("predictor never switched the all-zeros read-heavy line")
 	}
-	st := c.state[0][0]
+	st := c.state[0]
 	if st.mask != 0xFF {
 		t.Errorf("mask = %#x, want all partitions inverted", st.mask)
 	}
@@ -207,7 +210,7 @@ func TestWriteGreedyMinimizesStoredOnesOnWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partition 0 holds all-ones logically; greedy must store it inverted.
-	if st := c.state[0][0]; st.mask&1 == 0 {
+	if st := c.state[0]; st.mask&1 == 0 {
 		t.Errorf("greedy did not invert the all-ones partition: mask=%#x", st.mask)
 	}
 }
@@ -230,7 +233,7 @@ func TestStaticVariantsSetFillMask(t *testing.T) {
 		if err := c.Access(trace.Access{Op: trace.Read, Addr: 0, Size: 8}); err != nil {
 			t.Fatal(err)
 		}
-		return c.state[0][0].mask
+		return c.state[0].mask
 	}
 	if mask := run(encoding.KindStaticWrite); mask != 0xFF {
 		t.Errorf("static-write fill mask = %#x, want all inverted (minimize ones)", mask)
@@ -394,6 +397,48 @@ func TestSimRejectsNilMemory(t *testing.T) {
 	}
 }
 
+// TestSimReleaseLifecycle pins the end of a Sim's life: Release leaves
+// the returned report intact, Step and StepBatch fail with ErrReleased
+// instead of touching arrays another simulation may now own, Finish
+// panics, and a second Release does nothing.
+func TestSimReleaseLifecycle(t *testing.T) {
+	inst := workload.Histogram(1)
+	m := mem.New()
+	inst.Preload(m)
+	sim, err := NewSim(DefaultSimConfig(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.Run(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *rep
+	want.Levels = append([]LevelReport(nil), rep.Levels...)
+	sim.Release()
+	if !reflect.DeepEqual(*rep, want) {
+		t.Error("Release changed a report already returned")
+	}
+	a := trace.Access{Op: trace.Read, Addr: 0x1000, Size: 8}
+	if err := sim.Step(a); !errors.Is(err, ErrReleased) {
+		t.Errorf("Step after Release = %v, want ErrReleased", err)
+	}
+	if n, err := sim.StepBatch([]trace.Access{a, a}); n != 0 || !errors.Is(err, ErrReleased) {
+		t.Errorf("StepBatch after Release = (%d, %v), want (0, ErrReleased)", n, err)
+	}
+	before := recycle.ReadStats()
+	sim.Release()
+	if after := recycle.ReadStats(); after != before {
+		t.Errorf("second Release touched the recycler: %+v -> %+v", before, after)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Finish after Release did not panic")
+		}
+	}()
+	sim.Finish(inst.Name, "x")
+}
+
 func TestPolicyNameFlowsThrough(t *testing.T) {
 	for _, name := range []string{"", "window", "conf2", "conf3", "ewma"} {
 		opts := DefaultOptions()
@@ -422,7 +467,7 @@ func TestEWMAPolicyStillConverges(t *testing.T) {
 		c.Access(trace.Access{Op: trace.Read, Addr: 0, Size: 64})
 	}
 	c.DrainAll()
-	if c.state[0][0].mask != 0xFF {
-		t.Errorf("ewma policy failed to invert the zero read line: mask=%#x", c.state[0][0].mask)
+	if c.state[0].mask != 0xFF {
+		t.Errorf("ewma policy failed to invert the zero read line: mask=%#x", c.state[0].mask)
 	}
 }

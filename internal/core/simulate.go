@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -111,6 +112,14 @@ func (r *Report) Level(name string) *LevelReport {
 }
 
 // Sim is a ready-to-run simulation over one memory image.
+//
+// Lifecycle: NewSim builds every level from arrays drawn from the
+// process-wide recycler (package recycle); Step/StepBatch/RunBatch
+// replay; Finish reports; Release hands the arrays back so the next
+// simulation of the same shape reuses them. Whoever discards a Sim
+// should Release it once its report and any Snapshot are taken — the
+// run layer, RunInstance and the experiment loops do. A Sim that is
+// never released is simply garbage collected.
 type Sim struct {
 	Mem *mem.Memory
 	L1D *CNTCache
@@ -119,6 +128,33 @@ type Sim struct {
 	// is the L2 when present), each an energy-modeled CNTCache serving
 	// as the backend of the levels above it.
 	Shared []*CNTCache
+
+	released bool
+}
+
+// ErrReleased is returned by Step and StepBatch on a released Sim.
+var ErrReleased = errors.New("core: simulation already released")
+
+// Release returns every level's arrays to the recycler. The Sim is
+// unusable afterwards: Step and StepBatch return ErrReleased, and
+// Finish and Snapshot panic. A second Release does nothing. Reports
+// already returned by Finish hold no reference into the arrays and
+// stay valid.
+func (s *Sim) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	for _, c := range s.levels() {
+		c.release()
+	}
+}
+
+// mustLive panics when the Sim has been released.
+func (s *Sim) mustLive(op string) {
+	if s.released {
+		panic("core: " + op + " on a released simulation")
+	}
 }
 
 // NewSim wires up the hierarchy bottom-up: every level is a CNTCache —
@@ -183,6 +219,9 @@ func (s *Sim) L2() *CNTCache {
 // live D-cache state — which is what cmd/cntsim's -inspect mode and any
 // future interactive driver build on.
 func (s *Sim) Step(a trace.Access) error {
+	if s.released {
+		return ErrReleased
+	}
 	if a.Op == trace.Fetch {
 		return s.L1I.Access(a)
 	}
@@ -191,8 +230,11 @@ func (s *Sim) Step(a trace.Access) error {
 
 // Snapshot captures the D-cache's current encoding state (per-line
 // masks, history counters, queue occupancy). Valid at any point between
-// steps.
-func (s *Sim) Snapshot() Snapshot { return s.L1D.Snapshot() }
+// steps, up to Release.
+func (s *Sim) Snapshot() Snapshot {
+	s.mustLive("Snapshot")
+	return s.L1D.Snapshot()
+}
 
 // StepBatch advances the simulation by a block of accesses — the batch
 // equivalent of calling Step on each in order. Consecutive accesses
@@ -201,6 +243,9 @@ func (s *Sim) Snapshot() Snapshot { return s.L1D.Snapshot() }
 // once per access. It returns the number of accesses fully applied; on
 // error, accs[n] is the access that failed.
 func (s *Sim) StepBatch(accs []trace.Access) (int, error) {
+	if s.released {
+		return 0, ErrReleased
+	}
 	if s.L1D.hot && s.L1I.hot {
 		// Both L1s on the fused fast path: route per access directly.
 		// Instruction and data references interleave tightly in real
@@ -286,6 +331,7 @@ func levelReport(c *CNTCache) LevelReport {
 // place and generates no backend traffic, so the per-level stats stay
 // mutually consistent.
 func (s *Sim) Finish(workloadName, variant string) *Report {
+	s.mustLive("Finish")
 	for _, c := range s.levels() {
 		c.DrainAll()
 	}
@@ -321,7 +367,8 @@ func (s *Sim) report(workloadName, variant string) *Report {
 	return rep
 }
 
-// RunInstance replays a workload instance through a fresh simulation.
+// RunInstance replays a workload instance through a fresh simulation
+// and releases it.
 func RunInstance(inst *workload.Instance, cfg SimConfig) (*Report, error) {
 	m := mem.New()
 	inst.Preload(m)
@@ -329,6 +376,7 @@ func RunInstance(inst *workload.Instance, cfg SimConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Release()
 	return sim.Run(inst)
 }
 

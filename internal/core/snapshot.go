@@ -43,7 +43,7 @@ func (c *CNTCache) Snapshot() Snapshot {
 			if dirty {
 				s.DirtyLines++
 			}
-			st := &c.state[set][way]
+			st := &c.state[set*c.ways+way]
 			s.TotalPartitions += c.parts
 			for m := st.mask; m != 0; m &= m - 1 {
 				s.InvertedPartitions++

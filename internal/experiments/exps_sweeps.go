@@ -126,6 +126,7 @@ func runE9(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, 0, err
 			}
+			defer sim.Release()
 			vm := isa.NewVM(m, trace.SinkFunc(sim.Step))
 			vm.Load(prog)
 			if err := vm.Run(isa.DefaultMaxSteps); err != nil {

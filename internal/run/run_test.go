@@ -1,6 +1,8 @@
 package run
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,23 +134,33 @@ func TestTelemetryAttachesToBothSides(t *testing.T) {
 	}
 }
 
+// TestSnapshotBeforeRun pins the snapshot contract of RunSnapshot: a
+// run that never replays (its context is already cancelled) yields no
+// snapshot, and a completed run's snapshot carries the end-of-run line
+// state next to a report identical to a plain Run's.
 func TestSnapshotBeforeRun(t *testing.T) {
 	sess, err := Spec{Source: Source{Kernel: "hist"}}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Snapshot(); err == nil {
-		t.Error("Snapshot before Run should fail")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, snap, err := sess.RunSnapshot(ctx); err == nil || snap != (core.Snapshot{}) {
+		t.Errorf("a run that never replayed should fail with no snapshot: err=%v snap=%+v", err, snap)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := sess.Snapshot()
+	rep, snap, err := sess.RunSnapshot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.ValidLines == 0 {
 		t.Error("post-run snapshot should carry line state")
+	}
+	plain, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Report, plain.Report) {
+		t.Error("RunSnapshot's report differs from Run's")
 	}
 }
 
@@ -276,5 +288,35 @@ func TestCACTIDeviceAutoCalibrates(t *testing.T) {
 	}
 	if *per != want {
 		t.Errorf("periphery %+v, want the calibrated %+v", *per, want)
+	}
+}
+
+// raceEnabled is set under -race, whose instrumentation allocates on its
+// own account; exact non-zero pins skip there.
+var raceEnabled bool
+
+// TestSessionRunAllocs pins a warm Session.Run of a suite kernel, setup
+// included: core's TestRunInstanceAllocs count plus the session's report
+// wrapper (an untraced run span allocates nothing). Every per-level
+// array comes back from the recycler, so any new per-run allocation
+// shows up here as an exact count change.
+func TestSessionRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sess, err := Spec{Source: Source{Kernel: "hist"}}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err) // warm the recycler
+	}
+	const want = 59
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != want {
+		t.Errorf("warm Session.Run(hist) allocates %v objects, want exactly %d", n, want)
 	}
 }

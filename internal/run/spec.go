@@ -150,7 +150,6 @@ type Session struct {
 	params     core.Params
 	paramsOK   bool
 	levels     []LevelDesc // resolved per-level descriptions, L1D first
-	sim        *core.Sim
 	tracer     *obs.Tracer // nil: lifecycle spans off
 	spanParent obs.SpanContext
 
@@ -468,10 +467,25 @@ const cancelCheckInterval = 4096
 // report — single simulations are all-or-nothing; partial salvage is a
 // Compare-level concept, where the units are independent.
 func (sess *Session) RunContext(ctx context.Context) (*Report, error) {
+	return sess.runSpan(ctx, nil)
+}
+
+// RunSnapshot is RunContext that also captures the D-cache encoding
+// state at the end of the run (after the final drain), for cntsim
+// -inspect. A run that fails yields no snapshot.
+func (sess *Session) RunSnapshot(ctx context.Context) (*Report, core.Snapshot, error) {
+	var snap core.Snapshot
+	rep, err := sess.runSpan(ctx, &snap)
+	return rep, snap, err
+}
+
+// runSpan wraps runContext in the run span, so the span sees every exit
+// path.
+func (sess *Session) runSpan(ctx context.Context, snap *core.Snapshot) (*Report, error) {
 	span := sess.tracer.StartSpan("run", sess.spanParent).
 		Annotate("workload", sess.Instance.Name).
 		AnnotateInt("accesses", int64(len(sess.Instance.Accesses)))
-	rep, err := sess.runContext(ctx)
+	rep, err := sess.runContext(ctx, snap)
 	if err == nil && rep.Variant != "" {
 		span.Annotate("variant", rep.Variant)
 	}
@@ -479,16 +493,17 @@ func (sess *Session) RunContext(ctx context.Context) (*Report, error) {
 	return rep, err
 }
 
-// runContext is RunContext's body, separated so the span wrapper sees
-// every exit path.
-func (sess *Session) runContext(ctx context.Context) (*Report, error) {
+// runContext replays the instance through a fresh simulation, fills
+// *snap (when non-nil) from the finished D-cache, and releases the
+// simulation's arrays to the recycler.
+func (sess *Session) runContext(ctx context.Context, snap *core.Snapshot) (*Report, error) {
 	m := mem.New()
 	sess.Instance.Preload(m)
 	sim, err := core.NewSim(sess.SimConfig, m)
 	if err != nil {
 		return nil, err
 	}
-	sess.sim = sim
+	defer sim.Release()
 	// Replay in blocks of the cancel-check interval: the context check
 	// lands on exactly the same access indices the per-access loop
 	// checked at, and the block in between runs on the batched path.
@@ -514,15 +529,10 @@ func (sess *Session) runContext(ctx context.Context) (*Report, error) {
 	if sess.name != "" {
 		rep.Variant = sess.name
 	}
-	return &Report{Report: rep, Instance: sess.Instance}, nil
-}
-
-// Snapshot captures the D-cache encoding state of the most recent Run.
-func (sess *Session) Snapshot() (core.Snapshot, error) {
-	if sess.sim == nil {
-		return core.Snapshot{}, fmt.Errorf("run: no simulation has run yet")
+	if snap != nil {
+		*snap = sim.Snapshot()
 	}
-	return sess.sim.Snapshot(), nil
+	return &Report{Report: rep, Instance: sess.Instance}, nil
 }
 
 // Compare runs the session's instance under the registered comparison

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -19,8 +20,48 @@ func le32(v uint32) []byte {
 	return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 }
 
+// emitter accumulates a kernel's reference stream. A kernel whose loop
+// bounds fix the stream length sizes it exactly up front (sized); one
+// whose length depends on its data builds in a recycled scratch buffer
+// (scratch) and copies the stream out once at its final length. Either
+// way the instance's Accesses has cap == len and the build pays no
+// growth copies.
 type emitter struct {
 	accs []trace.Access
+	// buf is the pooled scratch buffer accs was taken from; nil for a
+	// sized emitter.
+	buf *[]trace.Access
+}
+
+// scratchPool holds the scratch buffers of data-dependent kernels. A
+// sync.Pool rather than package recycle's capped stock: a buffer is
+// only needed while a build runs, and the pool lets the collector take
+// idle ones.
+var scratchPool = sync.Pool{New: func() any { return new([]trace.Access) }}
+
+// sized returns an emitter for a stream of exactly n accesses.
+func sized(n int) emitter { return emitter{accs: make([]trace.Access, 0, n)} }
+
+// scratch returns an emitter building in a pooled buffer.
+func scratch() emitter {
+	buf := scratchPool.Get().(*[]trace.Access)
+	return emitter{accs: (*buf)[:0], buf: buf}
+}
+
+// stream returns the emitted accesses at their exact length. A scratch
+// emitter copies them out and returns its buffer to the pool, cleared
+// so it pins no write payloads.
+func (e *emitter) stream() []trace.Access {
+	if e.buf == nil {
+		return e.accs
+	}
+	out := make([]trace.Access, len(e.accs))
+	copy(out, e.accs)
+	clear(e.accs)
+	*e.buf = e.accs[:0]
+	scratchPool.Put(e.buf)
+	e.accs, e.buf = nil, nil
+	return out
 }
 
 func (e *emitter) read(addr uint64, size int) {
@@ -51,7 +92,7 @@ func MatMul(seed int64) *Instance {
 			uint32(initB.Data[4*i+2])<<16 | uint32(initB.Data[4*i+3])<<24)
 	}
 
-	var e emitter
+	e := sized(n * n * (2*n + 1))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			var acc int32
@@ -63,7 +104,7 @@ func MatMul(seed int64) *Instance {
 			e.write32(baseC+uint64(4*(i*n+j)), uint32(acc))
 		}
 	}
-	return &Instance{Name: "mm", Init: []Region{initA, initB}, Accesses: e.accs}
+	return &Instance{Name: "mm", Init: []Region{initA, initB}, Accesses: e.stream()}
 }
 
 // FIR runs a 32-tap filter over 3000 int32 samples.
@@ -77,7 +118,7 @@ func FIR(seed int64) *Instance {
 			uint32(r.Data[4*i+2])<<16 | uint32(r.Data[4*i+3])<<24)
 	}
 
-	var e emitter
+	e := sized(outs * (2*taps + 1))
 	for n := 0; n < outs; n++ {
 		var acc int32
 		for k := 0; k < taps; k++ {
@@ -87,7 +128,7 @@ func FIR(seed int64) *Instance {
 		}
 		e.write32(baseC+uint64(4*n), uint32(acc))
 	}
-	return &Instance{Name: "fir", Init: []Region{initX, initH}, Accesses: e.accs}
+	return &Instance{Name: "fir", Init: []Region{initX, initH}, Accesses: e.stream()}
 }
 
 // BFS traverses a random sparse graph in CSR form: 2048 vertices, average
@@ -119,7 +160,7 @@ func BFS(seed int64) *Instance {
 	}
 
 	// BFS from vertex 0, emitting the reference stream.
-	var e emitter
+	e := scratch()
 	visited := make([]bool, v)
 	queue := []uint32{0}
 	visited[0] = true
@@ -145,7 +186,7 @@ func BFS(seed int64) *Instance {
 			}
 		}
 	}
-	return &Instance{Name: "bfs", Init: []Region{offRegion, edgeRegion}, Accesses: e.accs}
+	return &Instance{Name: "bfs", Init: []Region{offRegion, edgeRegion}, Accesses: e.stream()}
 }
 
 // HashJoin builds a 4096-bucket hash table from 4096 dense random keys,
@@ -162,7 +203,7 @@ func HashJoin(seed int64) *Instance {
 			uint32(buildKeys.Data[4*i+2])<<16 | uint32(buildKeys.Data[4*i+3])<<24
 	}
 
-	var e emitter
+	e := sized(3*builds + 2*probes)
 	for i := 0; i < builds; i++ {
 		e.read(baseA+uint64(4*i), 4)
 		k := key(i)
@@ -176,7 +217,7 @@ func HashJoin(seed int64) *Instance {
 		e.read(baseB+uint64(8*h), 4)
 		e.read(baseB+uint64(8*h+4), 4)
 	}
-	return &Instance{Name: "hashjoin", Init: []Region{buildKeys}, Accesses: e.accs}
+	return &Instance{Name: "hashjoin", Init: []Region{buildKeys}, Accesses: e.stream()}
 }
 
 // Sort runs 8 odd-even transposition passes over 4096 small ints. The
@@ -199,7 +240,7 @@ func Sort(seed int64) *Instance {
 		init.Data = append(init.Data, le32(uint32(v))...)
 	}
 
-	var e emitter
+	e := scratch()
 	for p := 0; p < passes; p++ {
 		for i := p % 2; i+1 < n; i += 2 {
 			e.read(baseA+uint64(4*i), 4)
@@ -211,7 +252,7 @@ func Sort(seed int64) *Instance {
 			}
 		}
 	}
-	return &Instance{Name: "sort", Init: []Region{init}, Accesses: e.accs}
+	return &Instance{Name: "sort", Init: []Region{init}, Accesses: e.stream()}
 }
 
 // Stream runs STREAM-style copy, scale and triad passes over three
@@ -224,7 +265,7 @@ func Stream(seed int64) *Instance {
 	initA := fillRegion(baseA, n, func() []byte { return float32Bits(rng) })
 	initB := fillRegion(baseB, n, func() []byte { return float32Bits(rng) })
 
-	var e emitter
+	e := sized(7 * n)
 	// copy: c = a
 	for i := 0; i < n; i++ {
 		e.read(baseA+uint64(4*i), 4)
@@ -241,7 +282,7 @@ func Stream(seed int64) *Instance {
 		e.read(baseB+uint64(4*i), 4)
 		e.write(baseC+uint64(4*i), float32Bits(rng))
 	}
-	return &Instance{Name: "stream", Init: []Region{initA, initB}, Accesses: e.accs}
+	return &Instance{Name: "stream", Init: []Region{initA, initB}, Accesses: e.stream()}
 }
 
 // Stack models call-frame traffic: frames of 16 small words are pushed,
@@ -251,7 +292,7 @@ func Stream(seed int64) *Instance {
 func Stack(seed int64) *Instance {
 	const rounds, frame = 1024, 16
 	rng := rand.New(rand.NewSource(seed))
-	var e emitter
+	e := scratch()
 	for r := 0; r < rounds; r++ {
 		depth := 1 + rng.Intn(4)
 		for d := 0; d < depth; d++ {
@@ -279,7 +320,7 @@ func Stack(seed int64) *Instance {
 			}
 		}
 	}
-	return &Instance{Name: "stack", Accesses: e.accs}
+	return &Instance{Name: "stack", Accesses: e.stream()}
 }
 
 // List traverses a 256-node linked list whose 64-byte nodes have a
@@ -308,7 +349,7 @@ func List(seed int64) *Instance {
 		region.Data = append(region.Data, node...)
 	}
 
-	var e emitter
+	e := scratch()
 	idx := 0
 	for h := 0; h < hops; h++ {
 		node := uint64(baseA) + uint64(idx*64)
@@ -321,7 +362,7 @@ func List(seed int64) *Instance {
 		}
 		idx = next[idx]
 	}
-	return &Instance{Name: "list", Init: []Region{region}, Accesses: e.accs}
+	return &Instance{Name: "list", Init: []Region{region}, Accesses: e.stream()}
 }
 
 // SpMV multiplies a 2048-row CSR sparse matrix (~8 nonzeros per row) by a
@@ -356,7 +397,7 @@ func SpMV(seed int64) *Instance {
 	xRegion := fillRegion(baseD, rows, func() []byte { return float32Bits(rng) })
 	const baseY = baseD + 0x10000
 
-	var e emitter
+	e := sized(3*rows + 3*len(colIdx))
 	for r := 0; r < rows; r++ {
 		e.read(baseA+uint64(4*r), 4) // rowPtr[r]
 		e.read(baseA+uint64(4*(r+1)), 4)
@@ -370,7 +411,7 @@ func SpMV(seed int64) *Instance {
 	return &Instance{
 		Name:     "spmv",
 		Init:     []Region{ptrRegion, idxRegion, valRegion, xRegion},
-		Accesses: e.accs,
+		Accesses: e.stream(),
 	}
 }
 
@@ -385,7 +426,7 @@ func Histogram(seed int64) *Instance {
 		input.Data[i] = byte(rng.ExpFloat64() * 24)
 	}
 
-	var e emitter
+	e := sized(3 * n)
 	counters := make([]uint32, 256)
 	for i := 0; i < n; i++ {
 		e.read(baseA+uint64(i), 1)
@@ -394,5 +435,5 @@ func Histogram(seed int64) *Instance {
 		counters[b]++
 		e.write32(baseB+uint64(4*int(b)), counters[b])
 	}
-	return &Instance{Name: "hist", Init: []Region{input}, Accesses: e.accs}
+	return &Instance{Name: "hist", Init: []Region{input}, Accesses: e.stream()}
 }

@@ -74,7 +74,7 @@ func Mix(cfg MixConfig, seed int64) (*Instance, error) {
 	}
 
 	name := fmt.Sprintf("mix-r%02.0f-d%02.0f", cfg.ReadFraction*100, cfg.OneDensity*100)
-	inst := &Instance{Name: name, Init: []Region{init}}
+	inst := &Instance{Name: name, Init: []Region{init}, Accesses: make([]trace.Access, 0, cfg.Accesses)}
 	for i := 0; i < cfg.Accesses; i++ {
 		addr := pick()
 		if rng.Float64() < cfg.ReadFraction {

@@ -270,3 +270,44 @@ func TestValidateCatchesBadAccess(t *testing.T) {
 		t.Error("invalid access should fail validation")
 	}
 }
+
+// TestInstancesSizedExactly pins that every build hands out its stream
+// at exact capacity: sized kernels computed their count correctly and
+// scratch-built ones copied out once, so no instance carries growth
+// slack into the memo caches that hold it.
+func TestInstancesSizedExactly(t *testing.T) {
+	for _, b := range Suite() {
+		for _, seed := range []int64{1, 7} {
+			inst := b.Build(seed)
+			if cap(inst.Accesses) != len(inst.Accesses) {
+				t.Errorf("%s seed %d: cap(Accesses) = %d, len = %d", b.Name, seed, cap(inst.Accesses), len(inst.Accesses))
+			}
+		}
+	}
+	inst, err := Mix(MixConfig{ReadFraction: 0.5, OneDensity: 0.2, Accesses: 5000, FootprintBytes: 4096}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(inst.Accesses) != len(inst.Accesses) {
+		t.Errorf("mix: cap(Accesses) = %d, len = %d", cap(inst.Accesses), len(inst.Accesses))
+	}
+}
+
+// TestScratchBuildsRepeatable rebuilds the scratch-built kernels back to
+// back, so each build reuses the buffer the previous one returned: the
+// streams must not depend on what the buffer held before.
+func TestScratchBuildsRepeatable(t *testing.T) {
+	for _, name := range []string{"bfs", "sort", "stack", "list"} {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := b.Build(3)
+		for _, other := range Suite() {
+			other.Build(5)
+			if got := b.Build(3); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s rebuilt after %s differs", name, other.Name)
+			}
+		}
+	}
+}
